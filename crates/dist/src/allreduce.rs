@@ -10,7 +10,7 @@
 //! bench: gather everything to rank 0, reduce there, broadcast back.
 //!
 //! Both run over sequence-numbered, CRC-checked frames with timeout +
-//! retransmit recovery (see [`crate::transport`]), and return `Result`
+//! retransmit recovery (see [`crate::link`]), and return `Result`
 //! instead of panicking: a dead rank surfaces as
 //! [`Error::RankDead`](crate::Error::RankDead), which the trainer
 //! recovers from by rebuilding the ring and retrying from saved
@@ -177,7 +177,9 @@ pub fn ring_allreduce_resilient(
 
 /// Naive all-reduce: every rank ships its whole buffer to rank 0, which
 /// sums and broadcasts. `2·(n−1)` full-buffer transfers through one link —
-/// the bandwidth bottleneck the ring avoids.
+/// the bandwidth bottleneck the ring avoids. Rank 0 adds the workers'
+/// buffers in rank order, so the `f32` sum does not depend on which
+/// worker's frame arrived first.
 pub fn naive_allreduce(buf: &mut [f32], star: &mut StarTransport) -> Result<(), Error> {
     let n = star.n();
     if n <= 1 {
@@ -307,6 +309,60 @@ mod tests {
             let expect: f32 = (0..n).map(|r| ((r + 1) * (i + 1)) as f32).sum();
             for buf in &results {
                 assert_eq!(buf[i], expect);
+            }
+        }
+    }
+
+    /// Non-integer buffers make the `f32` sum order-sensitive. Two runs
+    /// under the same seeded delay/duplicate plan make the workers send in
+    /// opposite orders (a token passed along a channel chain), so their
+    /// frames reach rank 0 in opposite orders — the reduced result must
+    /// not change.
+    #[test]
+    fn naive_sum_is_deterministic_under_reordering_faults() {
+        let (n, len) = (4usize, 29usize);
+        let value = |rank: usize, i: usize| ((rank * 37 + i * 11) as f32 * 0.173).sin() * 3.1;
+        let run = |send_order: [usize; 3]| -> Vec<Vec<f32>> {
+            let cfg = FaultConfig {
+                p_delay: 0.4,
+                delay_ms_max: 3,
+                p_duplicate: 0.3,
+                ..FaultConfig::clean()
+            };
+            let plan = FaultPlan::seeded(77, cfg);
+            let mut stars: Vec<_> =
+                make_star_with(n, plan, TimeoutCfg::fast()).into_iter().map(Some).collect();
+            let mut token: Option<std::sync::mpsc::Receiver<()>> = None;
+            let mut workers = Vec::new();
+            for rank in send_order {
+                let mut star = stars[rank].take().unwrap();
+                let (pass, next) = std::sync::mpsc::channel();
+                let wait = token.replace(next);
+                workers.push((rank, std::thread::spawn(move || {
+                    if let Some(w) = wait {
+                        w.recv().unwrap();
+                    }
+                    let mut buf: Vec<f32> = (0..len).map(|i| value(rank, i)).collect();
+                    star.send_to_server(&buf).unwrap();
+                    pass.send(()).unwrap();
+                    buf.copy_from_slice(&star.recv_from_server().unwrap());
+                    buf
+                })));
+            }
+            let mut out = vec![(0..len).map(|i| value(0, i)).collect::<Vec<f32>>()];
+            naive_allreduce(&mut out[0], stars[0].as_mut().unwrap()).unwrap();
+            workers.sort_by_key(|(rank, _)| *rank);
+            out.extend(workers.into_iter().map(|(_, h)| h.join().unwrap()));
+            out
+        };
+        let first = run([1, 2, 3]);
+        let second = run([3, 2, 1]);
+        for i in 0..len {
+            let expect: f64 = (0..n).map(|r| f64::from(value(r, i))).sum();
+            for (rank, buf) in first.iter().enumerate() {
+                assert!((f64::from(buf[i]) - expect).abs() < 1e-4, "rank {rank} i {i}");
+                assert_eq!(buf[i].to_bits(), first[0][i].to_bits(), "rank {rank} i {i}");
+                assert_eq!(buf[i].to_bits(), second[rank][i].to_bits(), "rank {rank} i {i}");
             }
         }
     }

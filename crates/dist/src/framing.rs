@@ -1,7 +1,7 @@
-//! Length-prefixed, CRC-framed byte messages — the wire form of the
-//! reliability layer [`crate::transport`] uses in-process, factored out
-//! so other subsystems (the `cc19-serve` TCP front end) can reuse the
-//! exact framing instead of reinventing it.
+//! Length-prefixed, CRC-framed byte messages for byte streams (the
+//! `cc19-serve` TCP front end) — the stream counterpart of the in-process
+//! byte links in [`crate::link`], which stamp the same CRC-32 on every
+//! frame.
 //!
 //! Layout of one frame on the wire (all integers little-endian):
 //!
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The CRC covers the payload only — the same property the in-process
-//! transport relies on: a corrupted payload is detected and rejected
+//! links rely on: a corrupted payload is detected and rejected
 //! rather than silently consumed. [`WireFrame::read_from`] returns
 //! `io::ErrorKind::InvalidData` for a bad magic, an oversized length, or
 //! a CRC mismatch, so stream consumers can drop the connection instead
@@ -32,16 +32,6 @@ pub const MAGIC: [u8; 4] = *b"CC19";
 /// workspace produces, small enough that a garbage length prefix cannot
 /// drive a multi-gigabyte allocation.
 pub const MAX_PAYLOAD: usize = 256 << 20;
-
-/// CRC-32 of an `f32` payload's little-endian bytes — the checksum the
-/// in-process transport stamps on every [`crate::transport::Frame`].
-pub fn crc32_f32s(payload: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(payload.len() * 4);
-    for v in payload {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    crc32(&bytes)
-}
 
 /// Append a `u32`-length-prefixed section to a payload under
 /// construction. Sections let a payload carry optional, independently
@@ -192,12 +182,5 @@ mod tests {
         put_section(&mut overrun, b"abcd");
         overrun.truncate(6); // length says 4, only 2 bytes remain
         assert!(take_section(&overrun).is_err(), "overrunning length");
-    }
-
-    #[test]
-    fn f32_crc_matches_byte_crc() {
-        let vals = [1.5f32, -0.25, f32::MIN_POSITIVE];
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert_eq!(crc32_f32s(&vals), cc19_nn::checkpoint::crc32(&bytes));
     }
 }

@@ -7,9 +7,12 @@
 //!
 //! This crate provides:
 //!
-//! - [`transport`] — sequence-numbered, CRC-framed point-to-point links
-//!   with timeout/retransmit recovery, heartbeat failure detection, and a
-//!   deterministic fault injector ([`fault`]) for chaos testing;
+//! - [`link`] — the one reliability layer: sequence-numbered,
+//!   CRC-framed point-to-point byte links with timeout/retransmit
+//!   recovery and a deterministic fault injector ([`fault`]) for chaos
+//!   testing;
+//! - [`transport`] — ring and star transports for `f32` payloads built
+//!   on those links, with heartbeat failure detection and ring rebuild;
 //! - [`allreduce`] — a real **ring all-reduce** (reduce-scatter +
 //!   all-gather) over the fault-tolerant transport, plus a naive
 //!   parameter-server reduce for the ablation bench;

@@ -1,22 +1,31 @@
-//! Reliable point-to-point **byte** links — the serve cluster's wire.
+//! Reliable point-to-point **byte** links — the one reliability layer of
+//! `cc19-dist`.
 //!
-//! [`crate::transport`] moves `Vec<f32>` gradient payloads around rings
-//! and stars; the serve cluster needs the same reliability guarantees
-//! (sequence numbers, CRC, retransmit buffer, deterministic fault
-//! injection) for its RPC-style dispatch/reply traffic, whose payloads
-//! are encoded request/response bytes, not gradients. This module is that
-//! transport gap filled: a single directed link carrying `Vec<u8>` frames
-//! with exactly the reliability layer of the f32 transport.
+//! Every message this crate moves travels over a [`ByteTx`]/[`ByteRx`]
+//! pair: the serve cluster's dispatch/reply traffic as encoded
+//! request/response bytes, and the gradient rings and stars of
+//! [`crate::transport`] as little-endian `f32` bytes. This module is the
+//! only code that stamps sequence numbers and CRCs, applies
+//! [`FaultPlan`] actions, keeps, pulls and prunes retransmit copies, and
+//! classifies duplicate, corrupt and reordered frames (DESIGN.md §9).
 //!
-//! Two receive modes exist because the router must never block:
+//! All receive modes share one loop (`ByteRx::recv_within`) and differ
+//! only in how long they wait:
 //!
-//! - [`ByteRx::recv`] — blocking with jittered exponential backoff and a
-//!   hard cap, for a worker waiting on its dispatch queue;
 //! - [`ByteRx::try_recv`] — non-blocking, for the router polling many
-//!   worker reply links in one event loop. A `None` means "nothing ready";
-//!   an `Err(RankDead)` means the peer dropped its sender (died) *and*
-//!   every frame it ever sent has been drained — so by the time a death
-//!   verdict surfaces, no acknowledged work can be lost.
+//!   worker reply links in one event loop: drain the wire, then pull from
+//!   the retransmit buffer. A `None` means "nothing ready"; an
+//!   `Err(RankDead)` means the peer dropped its sender (died) *and* every
+//!   frame it ever sent has been drained — so by the time a death verdict
+//!   surfaces, no acknowledged work can be lost;
+//! - [`ByteRx::recv_wait`] — blocking up to a caller bound, for a worker
+//!   idling on its dispatch queue while it keeps heartbeating;
+//! - [`ByteRx::recv`] — blocking up to the hard cap;
+//! - `recv_owed` (crate-internal) — the ring/star receive, which is owed
+//!   a frame by protocol: it counts every empty wakeup in
+//!   `dist_recv_timeouts_total` and runs the caller's stall hook (the
+//!   ring's heartbeat and liveness oracle) after each one. An idle byte
+//!   link owes nothing, so its wakeups count nothing.
 //!
 //! Send-side ordering is determinism-critical: a frame is pushed to the
 //! channel *before* its authoritative copy lands in the retransmit slot,
@@ -34,12 +43,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use cc19_obs::lock;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::Error;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::obs::LinkStats;
-use crate::transport::{backoff_delay, TimeoutCfg};
+use crate::transport::{backoff_delay, link_stream, TimeoutCfg};
 
 /// One message on a byte link: sequence-numbered, checksummed payload.
 #[derive(Debug, Clone)]
@@ -57,12 +67,6 @@ pub struct ByteFrame {
 
 /// Sender-side reliability buffer, shared with the link's receiver.
 type ByteSlot = Arc<Mutex<HashMap<u64, Vec<u8>>>>;
-
-/// Poison-tolerant lock (same argument as `transport::lock`: the guarded
-/// map holds plain owned data, valid wherever a panicking peer stopped).
-fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn crc32_bytes(bytes: &[u8]) -> u32 {
     cc19_nn::checkpoint::crc32(bytes)
@@ -107,7 +111,19 @@ pub fn byte_link_in(
     t: TimeoutCfg,
     reg: &cc19_obs::Registry,
 ) -> (ByteTx, ByteRx) {
-    let stats = LinkStats::from_registry(reg);
+    link(src, dst, 0, faults, t, &LinkStats::from_registry(reg))
+}
+
+/// Build the link `src -> dst` of ring generation `generation` (the fault
+/// plan keys its decisions on it, so a rebuilt ring draws fresh faults).
+pub(crate) fn link(
+    src: usize,
+    dst: usize,
+    generation: u64,
+    faults: FaultPlan,
+    t: TimeoutCfg,
+    stats: &LinkStats,
+) -> (ByteTx, ByteRx) {
     let (tx, rx) = unbounded();
     let slot: ByteSlot = Arc::new(Mutex::new(HashMap::new()));
     (
@@ -115,7 +131,7 @@ pub fn byte_link_in(
             src,
             dst,
             seq: 0,
-            generation: 0,
+            generation,
             tx,
             slot: slot.clone(),
             faults,
@@ -130,7 +146,7 @@ pub fn byte_link_in(
             stash: HashMap::new(),
             faults,
             t,
-            stats,
+            stats: stats.clone(),
         },
     )
 }
@@ -195,75 +211,15 @@ impl ByteRx {
     /// - `Err(RankDead)` — the peer dropped its sender *and* everything it
     ///   ever sent (wire or retransmit buffer) has been delivered.
     pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, Error> {
-        loop {
-            if let Some(p) = self.stash.remove(&self.want) {
-                return Ok(Some(self.deliver(p)));
-            }
-            match self.rx.recv_timeout(Duration::ZERO) {
-                Ok(frame) => self.absorb(frame),
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                    return Ok(None);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                    self.stats.rank_dead.inc();
-                    return Err(Error::RankDead { rank: self.peer });
-                }
-            }
-        }
+        self.recv_within(Duration::ZERO, false, |_| Ok(()))
     }
 
-    /// Blocking receive with jittered exponential backoff between wakeups
-    /// (retransmit pulls happen on each timeout) and a hard cap.
-    ///
-    /// Unlike the f32 transport's lockstep receives, an idle byte link has
-    /// no outstanding frame it is owed, so backoff wakeups here do not
-    /// count toward `dist_recv_timeouts_total` — only genuine reliability
-    /// events (pulls, CRC rejects, duplicates) reach the registry, which
-    /// keeps the counters a pure function of the fault plan.
+    /// Blocking receive bounded by the hard cap: [`Error::Timeout`] once
+    /// it passes with the peer still connected.
     pub fn recv(&mut self) -> Result<Vec<u8>, Error> {
-        if let Some(p) = self.stash.remove(&self.want) {
-            return Ok(self.deliver(p));
-        }
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            if start.elapsed() > self.t.hard_cap {
-                return Err(Error::Timeout { rank: self.me, peer: self.peer, op: "byte recv" });
-            }
-            let backoff = backoff_delay(
-                &self.t,
-                self.faults.seed(),
-                crate::transport::link_stream(self.peer, self.me),
-                attempt,
-            );
-            match self.rx.recv_timeout(backoff) {
-                Ok(frame) => {
-                    self.absorb(frame);
-                    if let Some(p) = self.stash.remove(&self.want) {
-                        return Ok(self.deliver(p));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(self.deliver(p));
-                    }
-                    attempt = attempt.saturating_add(1);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    if let Some(p) = self.pull_buffered() {
-                        return Ok(self.deliver(p));
-                    }
-                    self.stats.rank_dead.inc();
-                    return Err(Error::RankDead { rank: self.peer });
-                }
-            }
-        }
+        let cap = self.t.hard_cap;
+        self.recv_within(cap, false, |_| Ok(()))?
+            .ok_or(Error::Timeout { rank: self.me, peer: self.peer, op: "byte recv" })
     }
 
     /// Blocking receive bounded by `max_wait` instead of the hard cap:
@@ -271,38 +227,59 @@ impl ByteRx {
     /// on this with a short bound so it keeps heartbeating between
     /// dispatches instead of vanishing into a long blocking receive.
     pub fn recv_wait(&mut self, max_wait: Duration) -> Result<Option<Vec<u8>>, Error> {
-        if let Some(p) = self.stash.remove(&self.want) {
-            return Ok(Some(self.deliver(p)));
-        }
+        self.recv_within(max_wait, false, |_| Ok(()))
+    }
+
+    /// The ring/star receive: the protocol owes this receiver a frame, so
+    /// every empty wakeup counts in `dist_recv_timeouts_total`, and
+    /// `stalled` (given the attempt count) runs after each one and may
+    /// abort the wait. Times out as `op` once the hard cap passes.
+    pub(crate) fn recv_owed(
+        &mut self,
+        op: &'static str,
+        stalled: impl FnMut(u32) -> Result<(), Error>,
+    ) -> Result<Vec<u8>, Error> {
+        let cap = self.t.hard_cap;
+        self.recv_within(cap, true, stalled)?
+            .ok_or(Error::Timeout { rank: self.me, peer: self.peer, op })
+    }
+
+    /// The one receive loop. Each wakeup waits out the jittered backoff
+    /// (clipped to what is left of `budget`) for a wire frame; a wakeup
+    /// that finds the wire empty pulls `want` from the retransmit buffer.
+    /// With the budget spent, one last zero-wait pass drains the wire and
+    /// pulls before `Ok(None)` — so a zero budget is exactly a
+    /// drain-then-pull poll. A disconnected peer is dead only once the
+    /// retransmit buffer no longer holds `want`.
+    fn recv_within(
+        &mut self,
+        budget: Duration,
+        owed: bool,
+        mut stalled: impl FnMut(u32) -> Result<(), Error>,
+    ) -> Result<Option<Vec<u8>>, Error> {
         let start = Instant::now();
+        let stream = link_stream(self.peer, self.me);
         let mut attempt: u32 = 0;
         loop {
-            let left = max_wait.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                if let Some(p) = self.pull_buffered() {
-                    return Ok(Some(self.deliver(p)));
-                }
-                return Ok(None);
+            if let Some(p) = self.stash.remove(&self.want) {
+                return Ok(Some(self.deliver(p)));
             }
-            let backoff = backoff_delay(
-                &self.t,
-                self.faults.seed(),
-                crate::transport::link_stream(self.peer, self.me),
-                attempt,
-            )
-            .min(left);
-            match self.rx.recv_timeout(backoff) {
-                Ok(frame) => {
-                    self.absorb(frame);
-                    if let Some(p) = self.stash.remove(&self.want) {
-                        return Ok(Some(self.deliver(p)));
-                    }
-                }
+            let left = budget.saturating_sub(start.elapsed());
+            let wait = backoff_delay(&self.t, self.faults.seed(), stream, attempt).min(left);
+            match self.rx.recv_timeout(wait) {
+                Ok(frame) => self.absorb(frame),
                 Err(RecvTimeoutError::Timeout) => {
+                    if owed {
+                        self.stats.recv_timeouts.inc();
+                    }
                     if let Some(p) = self.pull_buffered() {
                         return Ok(Some(self.deliver(p)));
                     }
+                    if left.is_zero() {
+                        return Ok(None);
+                    }
                     attempt = attempt.saturating_add(1);
+                    stalled(attempt)?;
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     if let Some(p) = self.pull_buffered() {
@@ -414,6 +391,44 @@ mod tests {
         drop(tx);
         assert_eq!(rx.try_recv().unwrap(), Some(b"last words".to_vec()));
         assert_eq!(rx.try_recv().unwrap_err(), Error::RankDead { rank: 2 });
+    }
+
+    /// A policy whose hard cap is a few tens of milliseconds, so the
+    /// timeout paths run fast.
+    fn short_cap() -> TimeoutCfg {
+        TimeoutCfg { hard_cap: Duration::from_millis(30), ..TimeoutCfg::fast() }
+    }
+
+    fn counter(reg: &cc19_obs::Registry, key: &str) -> u64 {
+        reg.snapshot().counters.iter().find(|c| c.key == key).map_or(0, |c| c.value)
+    }
+
+    #[test]
+    fn owed_receive_from_a_live_silent_sender_times_out_at_the_hard_cap() {
+        let reg = fresh_reg();
+        // The sender stays alive (no disconnect) but never sends.
+        let (_tx, mut rx) = byte_link_in(0, 1, FaultPlan::none(), short_cap(), &reg);
+        let mut stalls = 0u32;
+        let t0 = Instant::now();
+        let err = rx.recv_owed("ring recv", |_| {
+            stalls += 1;
+            Ok(())
+        });
+        assert_eq!(err.unwrap_err(), Error::Timeout { rank: 1, peer: 0, op: "ring recv" });
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert!(stalls > 0, "the stall hook never ran");
+        // Owed: every empty wakeup counted, including the final drain.
+        assert_eq!(counter(&reg, "dist_recv_timeouts_total"), u64::from(stalls) + 1);
+        assert_eq!(counter(&reg, "dist_rank_dead_total"), 0);
+    }
+
+    #[test]
+    fn idle_blocking_receive_times_out_without_counting_wakeups() {
+        let reg = fresh_reg();
+        let (_tx, mut rx) = byte_link_in(3, 2, FaultPlan::none(), short_cap(), &reg);
+        assert_eq!(rx.recv().unwrap_err(), Error::Timeout { rank: 2, peer: 3, op: "byte recv" });
+        assert_eq!(rx.recv_wait(Duration::from_millis(5)).unwrap(), None);
+        assert_eq!(counter(&reg, "dist_recv_timeouts_total"), 0);
     }
 
     #[test]

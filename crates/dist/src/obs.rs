@@ -21,8 +21,9 @@ pub(crate) struct LinkStats {
     pub delay: Counter,
     pub duplicate: Counter,
     pub corrupt: Counter,
-    /// `dist_recv_timeouts_total`: receive attempts that hit the backoff
-    /// timeout.
+    /// `dist_recv_timeouts_total`: wakeups of a ring/star receive (one
+    /// owed a frame) that found the wire empty; idle byte-link wakeups
+    /// are not counted.
     pub recv_timeouts: Counter,
     /// `dist_retransmit_pulls_total`: payloads recovered from the
     /// sender's reliability buffer instead of the wire.

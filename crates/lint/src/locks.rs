@@ -1,12 +1,12 @@
 //! Lock-site and held-region analysis (DESIGN.md §16).
 //!
-//! Identifies lock acquisitions (the `sync.rs` poison-recovering
-//! helpers, the local `transport.rs` helper, raw `Mutex::lock` /
-//! `RwLock::read`/`write` method calls), the token region each guard is
-//! held over, and the blocking operations / further acquisitions
-//! reachable inside that region — directly and across resolved call
-//! edges. The lock-order and blocking-under-lock rules are thin
-//! wrappers over this analysis.
+//! Identifies lock acquisitions (calls to the poison-recovering `lock`
+//! helper — `cc19_obs::lock` or its rank-checked `sync.rs` wrapper — and
+//! raw `Mutex::lock` / `RwLock::read`/`write` method calls), the token
+//! region each guard is held over, and the blocking operations / further
+//! acquisitions reachable inside that region — directly and across
+//! resolved call edges. The lock-order and blocking-under-lock rules are
+//! thin wrappers over this analysis.
 //!
 //! Lock identity is *name-based*: an acquisition of `self.inner` in
 //! `broker.rs` is the lock `broker::inner`. Two paths to the same mutex
@@ -24,12 +24,16 @@ use crate::rules::SourceFile;
 use crate::scanner::Token;
 
 /// Files whose lock discipline the lock rules audit: the serving stack
-/// (broker/batcher/sync/cluster/wire), the dist transport, and the
-/// monitoring crate. Callees outside these files are not traversed —
-/// lock ordering is a module-local protocol, and the numeric crates
-/// take no locks.
-pub const LOCK_SCOPE: &[&str] =
-    &["crates/serve/src/", "crates/dist/src/transport.rs", "crates/monitor/src/"];
+/// (broker/batcher/sync/cluster/wire), the dist transports and their
+/// byte link, and the monitoring crate. Callees outside these files are
+/// not traversed — lock ordering is a module-local protocol, and the
+/// numeric crates take no locks.
+pub const LOCK_SCOPE: &[&str] = &[
+    "crates/serve/src/",
+    "crates/dist/src/transport.rs",
+    "crates/dist/src/link.rs",
+    "crates/monitor/src/",
+];
 
 /// Lock-primitive function names: call sites *of* these are modeled as
 /// acquisitions or condvar waits, so their bodies are never traversed

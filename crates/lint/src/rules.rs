@@ -83,10 +83,11 @@ pub const METRIC_CTORS: &[&str] = &[
 pub const SPAN_CTORS: &[&str] = &["enter", "enter_on", "trace_child", "trace_record"];
 
 /// Paths that must stay panic-free and use typed errors: the
-/// fault-tolerant transport, the whole serving dispatch crate, and
-/// checkpoint I/O.
+/// fault-tolerant transports and the byte link under them, the whole
+/// serving dispatch crate, and checkpoint I/O.
 pub const PANIC_PATHS: &[&str] = &[
     "crates/dist/src/transport.rs",
+    "crates/dist/src/link.rs",
     "crates/serve/src/",
     "crates/nn/src/checkpoint.rs",
     "crates/monitor/src/",
@@ -1055,9 +1056,16 @@ mod tests {
 
     #[test]
     fn expect_field_access_is_not_a_call() {
-        // `srv.expect[src]` (a field named `expect`) must not trip the rule.
+        // `srv.expect[src]` (a field named `expect`) must not trip the rule
+        // on either dist file of the panic-free surface: the ring/star
+        // transports and the byte link that carries all their frames.
         let src = "fn f() { let w = srv.expect[src]; }\n";
-        assert!(run("panic-surface", "crates/dist/src/transport.rs", src).is_empty());
+        let bad = "fn f() { v.unwrap(); }\n";
+        for path in ["crates/dist/src/transport.rs", "crates/dist/src/link.rs"] {
+            assert!(PANIC_PATHS.contains(&path), "{path} fell off the panic-free surface");
+            assert!(run("panic-surface", path, src).is_empty());
+            assert_eq!(run("panic-surface", path, bad).len(), 1);
+        }
     }
 
     #[test]

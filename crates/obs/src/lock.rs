@@ -8,11 +8,15 @@
 //! thread can never blank a trace dump or a snapshot — the exporters
 //! see whatever state the store had, instead of an error arm quietly
 //! returning empty output.
+//!
+//! This is the workspace's one poison-recovering lock helper: the
+//! `cc19-dist` links and cluster membership call it directly, and
+//! `cc19_serve::sync::lock` layers its debug lock-rank sentinel on top.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// `Mutex::lock` that recovers from poisoning instead of panicking.
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -90,8 +90,11 @@ fn node_loop(
 
         // Pull dispatches: block briefly when idle (bounded, so the
         // heartbeat keeps ticking), drain without blocking when busy.
-        loop {
-            let frame = if pendings.is_empty() && !draining {
+        // Once draining (Shutdown received, or the router hung up) the
+        // link owes nothing more, so stop polling it: a poll would race
+        // the router's hang-up and count a spurious death verdict.
+        while !draining {
+            let frame = if pendings.is_empty() {
                 dispatch_rx.recv_wait(IDLE_WAIT)
             } else {
                 dispatch_rx.try_recv()

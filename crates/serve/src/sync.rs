@@ -140,13 +140,13 @@ pub(crate) type Guard<'a, T> = MutexGuard<'a, T>;
 #[cfg(debug_assertions)]
 pub(crate) fn lock<'a, T: ?Sized>(m: &'a Mutex<T>, rank: &'static LockRank) -> Guard<'a, T> {
     sentinel::push(rank);
-    Guard { g: Some(m.lock().unwrap_or_else(PoisonError::into_inner)), rank }
+    Guard { g: Some(cc19_obs::lock(m)), rank }
 }
 
 /// `Mutex::lock` that recovers from poisoning instead of panicking.
 #[cfg(not(debug_assertions))]
 pub(crate) fn lock<'a, T: ?Sized>(m: &'a Mutex<T>, _rank: &'static LockRank) -> Guard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    cc19_obs::lock(m)
 }
 
 /// `Condvar::wait` that recovers from poisoning instead of panicking.
